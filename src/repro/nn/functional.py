@@ -1,12 +1,34 @@
-"""Array primitives shared by the NN layers: im2col/col2im and friends."""
+"""Array primitives shared by the NN layers: im2col/col2im and friends.
+
+``im2col`` and ``col2im`` are index kernels.  Per geometry (C, H, W, kernel,
+stride, padding) -- never per batch size -- a bounded cache holds two
+read-only integer tables over one sample's flattened, padded image:
+
+* the gather table: for every column entry ``(c, i, j, oh, ow)`` the flat
+  offset of the pixel it reads; ``im2col`` is one ``take`` through it;
+* the fold table: for every unpadded input pixel the column entries that
+  read it, in ``(i, j)`` order, padded with a sentinel that reads zero;
+  ``col2im`` gathers through it and adds the taps into a zero buffer one
+  tap slot at a time.
+
+Each pixel's gradient is therefore ``0.0 + tap(0, 0) + tap(0, 1) + ...``
+in the same order as a per-(i, j) strided accumulation, so both kernels
+are bit-exact against the classic strided-window/loop formulation in any
+dtype.  Nothing here calls BLAS.
+"""
 
 from __future__ import annotations
 
-from typing import Tuple
+from functools import lru_cache
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from repro.nn.dtype import compute_dtype
+
+#: Geometries kept by the index-table cache.  A model uses one per distinct
+#: conv/pool layer shape, so this covers several models in one process.
+GEOMETRY_CACHE_SIZE = 128
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -20,30 +42,66 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
+class _Geometry(NamedTuple):
+    out_h: int
+    out_w: int
+    gather: np.ndarray  # (C*kh*kw, out_h*out_w) offsets into the padded sample
+    fold: np.ndarray  # (taps, C*H*W) column entries per pixel; sentinel = size
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _geometry(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int
+) -> _Geometry:
+    """Index tables of one geometry; read-only, so threads may share them."""
+    out_h = conv_output_size(h, kh, stride, pad)
+    out_w = conv_output_size(w, kw, stride, pad)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    gather = (
+        (np.arange(c) * (hp * wp))[:, None, None, None, None]
+        + np.arange(kh)[:, None, None, None] * wp
+        + np.arange(kw)[:, None, None]
+        + (np.arange(out_h) * (stride * wp))[:, None]
+        + np.arange(out_w) * stride
+    ).reshape(c * kh * kw, out_h * out_w).astype(np.intp)
+
+    # Invert the gather table: a stable sort groups the column entries by
+    # the pixel they read and keeps them in ascending entry order, i.e. in
+    # (i, j) order within one pixel.
+    flat = gather.ravel()
+    entries = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=c * hp * wp)
+    slot = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    fold = np.full((counts.max(), c * hp * wp), flat.size, np.intp)
+    fold[slot, flat[entries]] = entries
+    fold = fold.reshape(-1, c, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+    fold = np.ascontiguousarray(fold).reshape(-1, c * h * w)
+
+    gather.flags.writeable = False
+    fold.flags.writeable = False
+    return _Geometry(out_h, out_w, gather, fold)
+
+
 def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, fill: float = 0.0
 ) -> Tuple[np.ndarray, int, int]:
     """Unfold an NCHW tensor into column form.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, C * kh * kw, out_h * out_w)``.  Uses stride tricks to build the
-    sliding windows without Python loops; the final ``reshape`` materialises
-    a contiguous copy.
+    ``(N, C * kh * kw, out_h * out_w)`` with rows ordered ``(c, i, j)``.
+    The input is padded by ``pad`` pixels of value ``fill`` (zero for
+    convolution, ``-inf`` for max pooling) into one buffer, and every
+    window is gathered by one ``take`` through the cached per-sample offset
+    table.  The result is a fresh contiguous array.
     """
     n, c, h, w = x.shape
-    out_h = conv_output_size(h, kh, stride, pad)
-    out_w = conv_output_size(w, kw, stride, pad)
+    geo = _geometry(c, h, w, kh, kw, stride, pad)
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    cols = windows.reshape(n, c * kh * kw, out_h * out_w)
-    return cols, out_h, out_w
+        xp = np.full((n, c, h + 2 * pad, w + 2 * pad), fill, dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        x = xp
+    cols = np.take(x.reshape(n, -1), geo.gather, axis=1)
+    return cols, geo.out_h, geo.out_w
 
 
 def col2im(
@@ -57,21 +115,21 @@ def col2im(
     """Fold column-form gradients back into an NCHW tensor (im2col adjoint).
 
     Overlapping windows accumulate, which is exactly the sum of gradient
-    contributions each input pixel receives.
+    contributions each input pixel receives.  Each pixel's sum starts at
+    ``0.0`` and adds its taps in ``(i, j)`` order, the order of a strided
+    per-tap accumulation, so the result is bit-exact against it; taps that
+    fall on padding are dropped.  Returns a contiguous ``x_shape`` array.
     """
     n, c, h, w = x_shape
-    out_h = conv_output_size(h, kh, stride, pad)
-    out_w = conv_output_size(w, kw, stride, pad)
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        i_end = i + stride * out_h
-        for j in range(kw):
-            j_end = j + stride * out_w
-            xp[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
-    if pad > 0:
-        return xp[:, :, pad : pad + h, pad : pad + w]
-    return xp
+    geo = _geometry(c, h, w, kh, kw, stride, pad)
+    # One trailing zero per sample is what the fold table's sentinel reads.
+    src = np.zeros((n, geo.gather.size + 1), dtype=cols.dtype)
+    src[:, :-1] = cols.reshape(n, geo.gather.size)
+    taps = np.take(src, geo.fold, axis=1)
+    out = np.zeros((n, c * h * w), dtype=cols.dtype)
+    for t in range(geo.fold.shape[0]):
+        out += taps[:, t]
+    return out.reshape(x_shape)
 
 
 def one_hot(labels: np.ndarray, num_classes: int, dtype=None) -> np.ndarray:

@@ -9,10 +9,19 @@ from repro.nn.module import Module
 
 
 class MaxPool2d(Module):
-    """Max pooling over square windows (arbitrary kernel/stride/padding)."""
+    """Max pooling over square windows (arbitrary kernel/stride/padding).
+
+    Padding is ``-inf``, so it never wins a window; like PyTorch, at most
+    half the kernel may be padding, so every window sees a real input.
+    """
 
     def __init__(self, kernel_size: int, stride: int | None = None, padding: int = 0):
         super().__init__()
+        if not 0 <= padding <= kernel_size // 2:
+            raise ValueError(
+                f"MaxPool2d padding must be in [0, kernel_size // 2], got "
+                f"padding={padding} for kernel_size={kernel_size}"
+            )
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self.padding = padding
@@ -20,7 +29,7 @@ class MaxPool2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, _, _ = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        cols, out_h, out_w = im2col(x, k, k, s, p)
+        cols, out_h, out_w = im2col(x, k, k, s, p, fill=-np.inf)
         cols = cols.reshape(n, c, k * k, out_h * out_w)
         self._argmax = cols.argmax(axis=2)
         self._x_shape = x.shape

@@ -108,6 +108,13 @@ class TestPooling:
         x += RNG.normal(scale=0.01, size=x.shape)
         check_layer_input_grad(MaxPool2d(3, stride=2, padding=1), x)
 
+    def test_maxpool_padded_negative_border(self):
+        # all-negative input: the border windows' maxima are real pixels,
+        # never the padding, so their gradients land on the border
+        x = -np.arange(1, 1 * 2 * 6 * 5 + 1, dtype=float).reshape(1, 2, 6, 5)
+        x += RNG.normal(scale=0.01, size=x.shape)
+        check_layer_input_grad(MaxPool2d(3, stride=2, padding=1), x)
+
     def test_avgpool_input_grad(self):
         check_layer_input_grad(AvgPool2d(2), _x((2, 2, 4, 4)))
 
