@@ -117,8 +117,9 @@ class JointFAT(FederatedExperiment):
             # K fused clients: stack K copies of the round base into
             # per-parameter slabs and run one stacked trainer pass.  Each
             # client keeps its own RNG/loader stream, and the kernels
-            # reduce per client slice — bit-identical to K train_client
-            # calls (see repro.nn.cohort).
+            # reduce over each client's axes of the (K, B, ...) view,
+            # never across K — bit-identical to K train_client calls
+            # (see repro.nn.cohort).
             model = get_model(slot)
             try:
                 install_cohort(model, [global_snap] * len(items))

@@ -4,13 +4,15 @@ The ``batched`` executor backend fuses K homogeneous clients into one
 stacked forward/backward: activations carry the clients stacked on the
 batch axis — a ``(K·B, ...)`` layout — while every trainable parameter
 carries a ``(K, *shape)`` **slab** holding the K clients' values.  The
-cohort-aware layers (Linear, Conv2d, BatchNorm2d) detect an installed slab
-and switch to stacked kernels whose per-client slices are bit-identical to
-the serial path: the GEMMs batch over the leading client axis (same BLAS
-kernel over the same contiguous per-slice layout), and every multi-axis
-*reduction* (weight/bias gradients, batch statistics) runs per client on a
-contiguous slice view so the summation order matches a serial client
-exactly.
+cohort-aware layers (Linear, Conv2d, BatchNorm2d) run one kernel body over
+a ``(K, B, ...)`` view of the activations (:func:`repro.nn.module.client_view`)
+and the ``(K, *shape)`` slabs; with no slab installed the same body runs the
+serial layer as K = 1.  Each client's slice is bit-identical to the serial
+path: the GEMMs batch over the leading client axis (same BLAS kernel over
+the same per-client layout), and every multi-axis *reduction* (weight/bias
+gradients, batch statistics, the mean loss) runs in one call over the
+non-client axes of the view — never across K — so the summation order
+matches a serial client exactly.
 
 This module owns the slab lifecycle:
 
@@ -30,7 +32,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.nn.losses import log_softmax, softmax
-from repro.nn.module import Module
+from repro.nn.module import Module, client_view
 
 StateDict = Dict[str, np.ndarray]
 
@@ -96,9 +98,11 @@ class CohortCrossEntropyLoss:
     """Per-client mean cross-entropy over a (K·B, C) stacked logits batch.
 
     ``forward`` returns the K per-client losses (each the serial client's
-    ``float(-picked.mean())`` over its own contiguous slice); ``backward``
-    divides by the per-client batch size B — not K·B — so each client's
-    logit gradient equals the serial ``CrossEntropyLoss.backward`` exactly.
+    ``float(-picked.mean())``, reduced per row of the ``(K, B)`` view);
+    ``backward`` divides by the per-client batch size B — not K·B — so each
+    client's logit gradient equals the serial ``CrossEntropyLoss.backward``
+    exactly.  N rows that do not split evenly into K clients raise
+    ``ValueError``.
     """
 
     def __init__(self, k: int):
@@ -110,21 +114,17 @@ class CohortCrossEntropyLoss:
         if logits.ndim != 2:
             raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
         labels = np.asarray(labels)
+        n = logits.shape[0]
+        picked = client_view(log_softmax(logits)[np.arange(n), labels], self.k)
         self._probs = softmax(logits)
         self._labels = labels
-        n = logits.shape[0]
-        b = n // self.k
-        picked = log_softmax(logits)[np.arange(n), labels]
-        return np.array(
-            [float(-picked[i * b : (i + 1) * b].mean()) for i in range(self.k)]
-        )
+        return (-picked.mean(axis=1)).astype(np.float64)
 
     def backward(self) -> np.ndarray:
         n = self._probs.shape[0]
-        b = n // self.k
         grad = self._probs.copy()
         grad[np.arange(n), self._labels] -= 1.0
-        return grad / b
+        return grad / (n // self.k)
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return self.forward(logits, labels)

@@ -8,7 +8,7 @@ from repro.nn.dtype import compute_dtype
 from repro.nn.functional import col2im, im2col
 from repro.nn.grad_mode import param_grads_enabled
 from repro.nn.init import kaiming_normal
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, client_view
 
 
 class Conv2d(Module):
@@ -48,6 +48,11 @@ class Conv2d(Module):
         if bias:
             self.bias = Parameter(np.zeros(out_channels, dtype=compute_dtype()))
 
+    # One body per direction over the (K, B, ...) client view: K cohort
+    # clients with (K, *shape) parameter slabs installed (repro.nn.cohort),
+    # or the serial layer as K = 1.  The GEMMs batch over the leading axes
+    # (the same BLAS kernel over the same per-client layout) and every
+    # reduction runs over one client's axes, never across K.
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
@@ -56,90 +61,45 @@ class Conv2d(Module):
             )
         k, s, p = self.kernel_size, self.stride, self.padding
         cols, out_h, out_w = im2col(x, k, k, s, p)
+        w, _ = self.weight.stacked()
+        kk = w.shape[0]
+        colsv = client_view(cols, kk)  # (K, B, CKK, L)
         # The columns are only needed for the weight gradient; under an
         # input-grad-only scope (attacks, frozen-prefix forwards) don't
         # retain them — they dominate activation memory.
-        self._cols = cols if param_grads_enabled() else None
+        self._cols = colsv if param_grads_enabled() else None
         self._x_shape = x.shape
-        if self._cohort_k and self.weight.slab is not None:
-            return self._forward_cohort(cols, x.shape[0], out_h, out_w)
-        w2d = self.weight.data.reshape(self.out_channels, -1)
-        # (N, C_out, L) = (C_out, CKK) @ (N, CKK, L), batched over N
-        out = np.matmul(w2d, cols)
+        # (K, B, C_out, L) = (K, 1, C_out, CKK) @ (K, B, CKK, L)
+        out = np.matmul(w.reshape(kk, 1, self.out_channels, -1), colsv)
         if self.use_bias:
-            out = out + self.bias.data[None, :, None]
+            out += self.bias.stacked()[0][:, None, :, None]
         return out.reshape(x.shape[0], self.out_channels, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        if self._cohort_k and self.weight.slab is not None:
-            return self._backward_cohort(grad_out, self._cohort_k, param_grads)
+        w, w_grad = self.weight.stacked()
+        kk = w.shape[0]
         n = grad_out.shape[0]
-        g2d = grad_out.reshape(n, self.out_channels, -1)
-        w2d = self.weight.data.reshape(self.out_channels, -1)
+        g2v = client_view(grad_out.reshape(n, self.out_channels, -1), kk)
         if param_grads and param_grads_enabled():
             if self._cols is None:
                 raise RuntimeError(
                     "Conv2d.backward needs parameter gradients but the "
                     "forward pass ran input-grad-only (no column cache)"
                 )
-            # (C_out, CKK): contract batch and spatial axes in one shot
-            grad_w = np.tensordot(g2d, self._cols, axes=([0, 2], [0, 2]))
-            self.weight.grad += grad_w.reshape(self.weight.data.shape)
+            colsv = self._cols
+            bl = colsv.shape[1] * colsv.shape[3]
+            # Contract batch and spatial axes: the operand copies tensordot
+            # makes, stacked over K — (K, C_out, B·L) @ (K, B·L, CKK).
+            g_t = g2v.transpose(0, 2, 1, 3).reshape(kk, self.out_channels, bl)
+            c_t = colsv.transpose(0, 1, 3, 2).reshape(kk, bl, colsv.shape[2])
+            w_grad += np.matmul(g_t, c_t).reshape(w_grad.shape)
             if self.use_bias:
-                self.bias.grad += g2d.sum(axis=(0, 2))
-        self._cols = None  # single-shot cache: release once consumed
-        grad_cols = np.matmul(w2d.T, g2d)
-        k, s, p = self.kernel_size, self.stride, self.padding
-        return col2im(grad_cols, self._x_shape, k, k, s, p)
-
-    # -- client-batched (cohort) path -------------------------------------
-    # The (K·B, CKK, L) columns regroup to (K, B, CKK, L); one broadcast
-    # GEMM per direction applies each client's (C_out, CKK) weight slab to
-    # its own B samples — bit-identical per slice to the serial broadcast-
-    # over-N matmul.  The weight/bias reductions (tensordot / axis sums)
-    # run per client on contiguous slice views so the summation order is
-    # exactly the serial client's.
-    def _forward_cohort(
-        self, cols: np.ndarray, n: int, out_h: int, out_w: int
-    ) -> np.ndarray:
-        kk = self._cohort_k
-        b = n // kk
-        ckk = cols.shape[1]
-        colsv = cols.reshape(kk, b, ckk, cols.shape[2])
-        wslab = self.weight.slab.reshape(kk, self.out_channels, ckk)
-        # (K, B, C_out, L) = (K, 1, C_out, CKK) @ (K, B, CKK, L)
-        out = np.matmul(wslab[:, None], colsv)
-        if self.use_bias:
-            out = out + self.bias.slab[:, None, :, None]
-        return out.reshape(n, self.out_channels, out_h, out_w)
-
-    def _backward_cohort(
-        self, grad_out: np.ndarray, kk: int, param_grads: bool
-    ) -> np.ndarray:
-        n = grad_out.shape[0]
-        b = n // kk
-        g2d = np.ascontiguousarray(grad_out).reshape(n, self.out_channels, -1)
-        g2v = g2d.reshape(kk, b, self.out_channels, g2d.shape[2])
-        ckk = self.in_channels * self.kernel_size * self.kernel_size
-        wslab = self.weight.slab.reshape(kk, self.out_channels, ckk)
-        if param_grads and param_grads_enabled():
-            if self._cols is None:
-                raise RuntimeError(
-                    "Conv2d.backward needs parameter gradients but the "
-                    "forward pass ran input-grad-only (no column cache)"
-                )
-            colsv = self._cols.reshape(kk, b, ckk, self._cols.shape[2])
-            w_grad = self.weight.slab_grad
-            b_grad = self.bias.slab_grad if self.use_bias else None
-            w_shape = self.weight.data.shape
-            for i in range(kk):
-                grad_w = np.tensordot(g2v[i], colsv[i], axes=([0, 2], [0, 2]))
-                w_grad[i] += grad_w.reshape(w_shape)
-                if b_grad is not None:
-                    b_grad[i] += g2v[i].sum(axis=(0, 2))
+                _, b_grad = self.bias.stacked()
+                b_grad += g2v.sum(axis=(1, 3))
         self._cols = None  # single-shot cache: release once consumed
         # (K, B, CKK, L) = (K, 1, CKK, C_out) @ (K, B, C_out, L)
-        grad_cols = np.matmul(wslab.transpose(0, 2, 1)[:, None], g2v)
-        grad_cols = grad_cols.reshape(n, ckk, grad_cols.shape[3])
+        w_t = w.reshape(kk, self.out_channels, -1).transpose(0, 2, 1)
+        grad_cols = np.matmul(w_t[:, None], g2v)
+        grad_cols = grad_cols.reshape(n, grad_cols.shape[2], grad_cols.shape[3])
         k, s, p = self.kernel_size, self.stride, self.padding
         return col2im(grad_cols, self._x_shape, k, k, s, p)

@@ -48,6 +48,17 @@ class Parameter:
     def size(self) -> int:
         return int(self.data.size)
 
+    def stacked(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(K, *shape)`` value and gradient the layer kernels run on.
+
+        The installed slab and its gradient, or, with no slab, the serial
+        parameter as the K = 1 view (``data[None]``/``grad[None]``) —
+        in-place updates through either land in the parameter's storage.
+        """
+        if self.slab is not None:
+            return self.slab, self.slab_grad
+        return self.data[None], self.grad[None]
+
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
         if self.slab_grad is not None:
@@ -55,6 +66,19 @@ class Parameter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(shape={self.data.shape}, dtype={self.data.dtype})"
+
+
+def client_view(x: np.ndarray, k: int) -> np.ndarray:
+    """View a ``(K·B, ...)`` client-stacked array as ``(K, B, ...)``.
+
+    Splitting the leading axis never copies.  Raises ``ValueError`` when
+    the N rows do not split evenly into K clients, which would otherwise
+    silently misalign every per-client slice.
+    """
+    n = x.shape[0]
+    if n % k:
+        raise ValueError(f"{n} rows do not split evenly into K = {k} clients")
+    return x.reshape((k, n // k) + x.shape[1:])
 
 
 class Module:

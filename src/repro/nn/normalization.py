@@ -6,7 +6,15 @@ import numpy as np
 
 from repro.nn.dtype import compute_dtype
 from repro.nn.grad_mode import param_grads_enabled
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, client_view
+
+#: The reduction axes of one client in the (K, B, C, H, W) view.
+_CLIENT_AXES = (1, 3, 4)
+
+
+def _per_channel(a: np.ndarray) -> np.ndarray:
+    """Broadcast a (K, C) slab over the (K, B, C, H, W) view."""
+    return a[:, None, :, None, None]
 
 
 class BatchNorm2d(Module):
@@ -28,165 +36,96 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(num_features, dtype=compute_dtype()))
         self.register_buffer("running_var", np.ones(num_features, dtype=compute_dtype()))
 
-    # Subclasses (DualBatchNorm2d) redirect these to one of two stat banks.
-    def _get_running(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.running_mean, self.running_var
+    # Subclasses (DualBatchNorm2d) redirect this to one of two stat banks.
+    def _bank(self) -> tuple[str, str]:
+        return "running_mean", "running_var"
+
+    def _running(self) -> tuple[np.ndarray, np.ndarray]:
+        """The active bank as ``(K, C)``: the cohort's per-client stat slabs
+        (``_slab_buffers``, see repro.nn.cohort) or the serial K = 1 view."""
+        mean, var = self._bank()
+        if self.weight.slab is not None:
+            return self._slab_buffers[mean], self._slab_buffers[var]
+        return self._buffers[mean][None], self._buffers[var][None]
 
     def _set_running(self, mean: np.ndarray, var: np.ndarray) -> None:
-        self.set_buffer("running_mean", mean)
-        self.set_buffer("running_var", var)
+        for name, value in zip(self._bank(), (mean, var)):
+            if self.weight.slab is not None:
+                dtype = self._buffers[name].dtype
+                self._slab_buffers[name] = np.asarray(value, dtype=dtype)
+            else:
+                self.set_buffer(name, value[0])
 
-    # Cohort variants of the bank switch: per-client (K, C) stat slabs live
-    # in ``_slab_buffers`` while a cohort is installed (repro.nn.cohort).
-    def _get_running_slab(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._slab_buffers["running_mean"], self._slab_buffers["running_var"]
-
-    def _set_running_slab(self, mean: np.ndarray, var: np.ndarray) -> None:
-        dtype = self._buffers["running_mean"].dtype
-        self._slab_buffers["running_mean"] = np.asarray(mean, dtype=dtype)
-        self._slab_buffers["running_var"] = np.asarray(var, dtype=dtype)
-
+    # One body per direction over the (K, B, C, H, W) client view: K cohort
+    # clients with parameter and stat slabs installed, or the serial layer
+    # as K = 1.  Batch statistics and every gradient reduction run over
+    # one client's (B, H, W) axes in a single call, never across K, so each
+    # client's summation order is the serial one; normalisation is one
+    # elementwise broadcast over the view.
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.num_features:
             raise ValueError(f"BatchNorm2d({self.num_features}) got shape {x.shape}")
-        if self._cohort_k and self.weight.slab is not None:
-            return self._forward_cohort(x, self._cohort_k)
+        w, _ = self.weight.stacked()
+        b, _ = self.bias.stacked()
+        xv = client_view(x, w.shape[0])
+        centered = None
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            r_mean, r_var = self._get_running()
+            mean = xv.mean(axis=_CLIENT_AXES)
+            # np.var's own steps, reusing the mean in hand.
+            centered = xv - _per_channel(mean)
+            count = xv.shape[1] * xv.shape[3] * xv.shape[4]
+            var = np.square(centered).sum(axis=_CLIENT_AXES) / count
+            r_mean, r_var = self._running()
             m = self.momentum
             self._set_running(
                 (1 - m) * r_mean + m * mean,
                 (1 - m) * r_var + m * var,
             )
-            self._batch_stats = True
         else:
-            mean, var = self._get_running()
-            self._batch_stats = False
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
+            mean, var = self._running()
+        self._batch_stats = self.training
+        self._inv_std = 1.0 / np.sqrt(var + self.eps)  # (K, C)
         if not (self._batch_stats or param_grads_enabled()):
             # Input-grad-only eval forward (attacks on a frozen model, the
             # frozen-prefix cascade): nothing downstream needs x_hat, so
             # fold the affine transform into one scale-and-shift.
             self._x_hat = None
-            scale = self.weight.data * self._inv_std
-            shift = self.bias.data - mean * scale
-            return x * scale[None, :, None, None] + shift[None, :, None, None]
+            scale = w * self._inv_std
+            shift = b - mean * scale
+            return (xv * _per_channel(scale) + _per_channel(shift)).reshape(x.shape)
         # x_hat is needed for the weight gradient and the train-mode input
         # gradient.
-        x_hat = (x - mean[None, :, None, None]) * self._inv_std[None, :, None, None]
-        self._x_hat = x_hat
-        return (
-            self.weight.data[None, :, None, None] * x_hat
-            + self.bias.data[None, :, None, None]
-        )
+        if centered is None:
+            centered = xv - _per_channel(mean)
+        x_hat = centered * _per_channel(self._inv_std)
+        self._x_hat = x_hat  # (K, B, C, H, W)
+        return (_per_channel(w) * x_hat + _per_channel(b)).reshape(x.shape)
 
     def backward(self, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        if self._cohort_k and self.weight.slab is not None:
-            return self._backward_cohort(grad_out, self._cohort_k, param_grads)
-        n, _, h, w = grad_out.shape
-        count = n * h * w
+        w, w_grad = self.weight.stacked()
+        gv = client_view(grad_out, w.shape[0])
         if param_grads and param_grads_enabled():
             if self._x_hat is None:
                 raise RuntimeError(
                     "BatchNorm2d.backward needs parameter gradients but the "
                     "forward pass ran input-grad-only (no x_hat cache)"
                 )
-            self.weight.grad += (grad_out * self._x_hat).sum(axis=(0, 2, 3))
-            self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        g_xhat = grad_out * self.weight.data[None, :, None, None]
-        inv_std = self._inv_std[None, :, None, None]
+            _, b_grad = self.bias.stacked()
+            w_grad += (gv * self._x_hat).sum(axis=_CLIENT_AXES)
+            b_grad += gv.sum(axis=_CLIENT_AXES)
+        g_xhat = gv * _per_channel(w)
+        inv_std = _per_channel(self._inv_std)
         if not self._batch_stats:
             # Eval mode: statistics are constants.
             self._x_hat = None
-            return g_xhat * inv_std
+            return (g_xhat * inv_std).reshape(grad_out.shape)
         x_hat = self._x_hat
         self._x_hat = None
-        sum_g = g_xhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        return (inv_std / count) * (
-            count * g_xhat - sum_g - x_hat * sum_gx
-        )
-
-    # -- client-batched (cohort) path -------------------------------------
-    # The (K·B, C, H, W) activations regroup to (K, B, C, H, W); batch
-    # statistics and every gradient reduction are computed per client on
-    # contiguous slice views (identical layout to a standalone (B, C, H, W)
-    # batch, so the summation order matches serial exactly), while the
-    # normalisation itself is one elementwise broadcast over the slab.
-    def _forward_cohort(self, x: np.ndarray, k: int) -> np.ndarray:
-        n, c, h, w = x.shape
-        b = n // k
-        xv = x.reshape(k, b, c, h, w)
-        if self.training:
-            mean = np.empty((k, c), dtype=x.dtype)
-            var = np.empty((k, c), dtype=x.dtype)
-            for i in range(k):
-                mean[i] = xv[i].mean(axis=(0, 2, 3))
-                var[i] = xv[i].var(axis=(0, 2, 3))
-            r_mean, r_var = self._get_running_slab()
-            m = self.momentum
-            self._set_running_slab(
-                (1 - m) * r_mean + m * mean,
-                (1 - m) * r_var + m * var,
-            )
-            self._batch_stats = True
-        else:
-            mean, var = self._get_running_slab()
-            self._batch_stats = False
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)  # (K, C)
-        if not (self._batch_stats or param_grads_enabled()):
-            self._x_hat = None
-            scale = self.weight.slab * self._inv_std
-            shift = self.bias.slab - mean * scale
-            out = (
-                xv * scale[:, None, :, None, None]
-                + shift[:, None, :, None, None]
-            )
-            return out.reshape(n, c, h, w)
-        x_hat = (
-            xv - mean[:, None, :, None, None]
-        ) * self._inv_std[:, None, :, None, None]
-        self._x_hat = x_hat  # (K, B, C, H, W)
-        out = (
-            self.weight.slab[:, None, :, None, None] * x_hat
-            + self.bias.slab[:, None, :, None, None]
-        )
-        return out.reshape(n, c, h, w)
-
-    def _backward_cohort(
-        self, grad_out: np.ndarray, k: int, param_grads: bool
-    ) -> np.ndarray:
-        n, c, h, w = grad_out.shape
-        b = n // k
-        count = b * h * w  # per-client reduction count, as in serial
-        gv = np.ascontiguousarray(grad_out).reshape(k, b, c, h, w)
-        if param_grads and param_grads_enabled():
-            if self._x_hat is None:
-                raise RuntimeError(
-                    "BatchNorm2d.backward needs parameter gradients but the "
-                    "forward pass ran input-grad-only (no x_hat cache)"
-                )
-            w_grad, b_grad = self.weight.slab_grad, self.bias.slab_grad
-            for i in range(k):
-                w_grad[i] += (gv[i] * self._x_hat[i]).sum(axis=(0, 2, 3))
-                b_grad[i] += gv[i].sum(axis=(0, 2, 3))
-        g_xhat = gv * self.weight.slab[:, None, :, None, None]
-        inv_std = self._inv_std[:, None, :, None, None]
-        if not self._batch_stats:
-            # Eval mode: statistics are constants.
-            self._x_hat = None
-            return (g_xhat * inv_std).reshape(n, c, h, w)
-        x_hat = self._x_hat
-        self._x_hat = None
-        sum_g = np.empty((k, 1, c, 1, 1), dtype=g_xhat.dtype)
-        sum_gx = np.empty((k, 1, c, 1, 1), dtype=g_xhat.dtype)
-        for i in range(k):
-            sum_g[i, 0, :, 0, 0] = g_xhat[i].sum(axis=(0, 2, 3))
-            sum_gx[i, 0, :, 0, 0] = (g_xhat[i] * x_hat[i]).sum(axis=(0, 2, 3))
+        count = gv.shape[1] * gv.shape[3] * gv.shape[4]  # per client
+        sum_g = g_xhat.sum(axis=_CLIENT_AXES, keepdims=True)
+        sum_gx = (g_xhat * x_hat).sum(axis=_CLIENT_AXES, keepdims=True)
         out = (inv_std / count) * (count * g_xhat - sum_g - x_hat * sum_gx)
-        return out.reshape(n, c, h, w)
+        return out.reshape(grad_out.shape)
 
 
 class DualBatchNorm2d(BatchNorm2d):
@@ -208,34 +147,10 @@ class DualBatchNorm2d(BatchNorm2d):
     def set_mode(self, adversarial: bool) -> None:
         object.__setattr__(self, "adversarial_mode", bool(adversarial))
 
-    def _get_running(self) -> tuple[np.ndarray, np.ndarray]:
+    def _bank(self) -> tuple[str, str]:
         if self.adversarial_mode:
-            return self.running_mean_adv, self.running_var_adv
-        return self.running_mean, self.running_var
-
-    def _set_running(self, mean: np.ndarray, var: np.ndarray) -> None:
-        if self.adversarial_mode:
-            self.set_buffer("running_mean_adv", mean)
-            self.set_buffer("running_var_adv", var)
-        else:
-            self.set_buffer("running_mean", mean)
-            self.set_buffer("running_var", var)
-
-    def _get_running_slab(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.adversarial_mode:
-            return (
-                self._slab_buffers["running_mean_adv"],
-                self._slab_buffers["running_var_adv"],
-            )
-        return super()._get_running_slab()
-
-    def _set_running_slab(self, mean: np.ndarray, var: np.ndarray) -> None:
-        if self.adversarial_mode:
-            dtype = self._buffers["running_mean_adv"].dtype
-            self._slab_buffers["running_mean_adv"] = np.asarray(mean, dtype=dtype)
-            self._slab_buffers["running_var_adv"] = np.asarray(var, dtype=dtype)
-        else:
-            super()._set_running_slab(mean, var)
+            return "running_mean_adv", "running_var_adv"
+        return super()._bank()
 
 
 def set_dual_bn_mode(model: Module, adversarial: bool) -> None:

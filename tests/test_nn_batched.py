@@ -7,8 +7,11 @@ allclose — determinism is the contract, not a tolerance):
   reproduce K independent serial layers exactly — forward outputs, input
   gradients, parameter-gradient slabs, and BatchNorm running-statistic
   slabs — because the stacked GEMMs run the same BLAS kernel over the
-  same contiguous per-client layout and every multi-axis reduction runs
-  per client slice;
+  same per-client layout and every multi-axis reduction runs in one call
+  over the non-client axes of the ``(K, B, ...)`` view, never across K.
+  Serial is the K = 1 view of the same body, so the layers are also
+  checked against the per-client loop kernels they replaced (kept below
+  as reference implementations), which can fail across code versions;
 * round level: a federated run on ``executor_backend="batched"`` must be
   bit-identical to the serial reference at any fusion width, for sync
   and cross-round-pipelined async aggregation, with fault and threat
@@ -16,8 +19,12 @@ allclose — determinism is the contract, not a tolerance):
   identical-mask-grouped heterogeneous (HeteroFL) baselines.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import FedRBN, HeteroFLAT, JointFAT
 from repro.core.prefix_cache import PrefixCache
@@ -35,7 +42,11 @@ from repro.nn.cohort import (
     extract_cohort,
     install_cohort,
 )
+from repro.nn.dtype import dtype_scope
+from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.grad_mode import no_param_grads
 from repro.nn.losses import CrossEntropyLoss
+from repro.nn.module import client_view
 
 
 def _assert_states_equal(a, b, label=""):
@@ -79,7 +90,7 @@ def _layer_case(make_layer, x_shape, k=3, b=4, train=True):
             np.testing.assert_array_equal(
                 p_cohort.slab_grad[i], p_serial.grad, err_msg=f"{name}[{i}]"
             )
-    # Buffers (BN running stats) updated per client slice.
+    # Buffers (BN running stats) updated per client.
     trained = extract_cohort(cohort)
     for i, layer in enumerate(serial):
         _assert_states_equal(layer.state_dict(), trained[i], f"client {i}: ")
@@ -156,6 +167,282 @@ class TestSlabKernels:
         np.testing.assert_array_equal(model(x), before)
 
 
+# ---------------------------------------------------------------------------
+# Cross-version kernel check: the layers against the per-client loop kernels
+# ---------------------------------------------------------------------------
+# The references are the cohort kernels the layers' single bodies replaced:
+# the same stacked GEMMs, but every reduction one call per client slice.
+# Each takes (K, ...) parameter slabs and returns the forward output, the
+# input gradient and the parameter-gradient slabs of one forward/backward.
+
+
+def reference_linear(x, g, w, b, k, param_grads):
+    n, in_f = x.shape
+    out_f = w.shape[1]
+    bsz = n // k
+    xv = x.reshape(k, bsz, in_f)
+    out = np.matmul(xv, w.transpose(0, 2, 1))
+    if b is not None:
+        out = out + b[:, None, :]
+    gv = np.ascontiguousarray(g).reshape(k, bsz, out_f)
+    w_grad = np.zeros_like(w)
+    b_grad = None if b is None else np.zeros_like(b)
+    if param_grads:
+        for i in range(k):
+            w_grad[i] += gv[i].T @ xv[i]
+            if b_grad is not None:
+                b_grad[i] += gv[i].sum(axis=0)
+    gx = np.matmul(gv, w).reshape(n, in_f)
+    return out.reshape(n, out_f), gx, w_grad, b_grad
+
+
+def reference_conv2d(x, g, w, b, k, stride, padding, param_grads):
+    n = x.shape[0]
+    bsz = n // k
+    out_c, ks = w.shape[1], w.shape[3]
+    cols, out_h, out_w = im2col(x, ks, ks, stride, padding)
+    ckk = cols.shape[1]
+    colsv = cols.reshape(k, bsz, ckk, cols.shape[2])
+    wslab = w.reshape(k, out_c, ckk)
+    out = np.matmul(wslab[:, None], colsv)
+    if b is not None:
+        out = out + b[:, None, :, None]
+    g2d = np.ascontiguousarray(g).reshape(n, out_c, -1)
+    g2v = g2d.reshape(k, bsz, out_c, g2d.shape[2])
+    w_grad = np.zeros_like(w)
+    b_grad = None if b is None else np.zeros_like(b)
+    if param_grads:
+        for i in range(k):
+            grad_w = np.tensordot(g2v[i], colsv[i], axes=([0, 2], [0, 2]))
+            w_grad[i] += grad_w.reshape(w.shape[1:])
+            if b_grad is not None:
+                b_grad[i] += g2v[i].sum(axis=(0, 2))
+    grad_cols = np.matmul(wslab.transpose(0, 2, 1)[:, None], g2v)
+    grad_cols = grad_cols.reshape(n, ckk, grad_cols.shape[3])
+    gx = col2im(grad_cols, x.shape, ks, ks, stride, padding)
+    return out.reshape(n, out_c, out_h, out_w), gx, w_grad, b_grad
+
+
+def reference_batchnorm(x, g, w, b, r_mean, r_var, k, training, param_grads,
+                        momentum=0.1, eps=1e-5):
+    """Also returns the (K, C) running-stat slabs after the forward."""
+    n, c, h, wd = x.shape
+    bsz = n // k
+    xv = x.reshape(k, bsz, c, h, wd)
+    if training:
+        mean = np.empty((k, c), dtype=x.dtype)
+        var = np.empty((k, c), dtype=x.dtype)
+        for i in range(k):
+            mean[i] = xv[i].mean(axis=(0, 2, 3))
+            var[i] = xv[i].var(axis=(0, 2, 3))
+        r_mean = np.asarray((1 - momentum) * r_mean + momentum * mean, r_mean.dtype)
+        r_var = np.asarray((1 - momentum) * r_var + momentum * var, r_var.dtype)
+    else:
+        mean, var = r_mean, r_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    if not (training or param_grads):
+        scale = w * inv_std
+        shift = b - mean * scale
+        x_hat = None
+        out = xv * scale[:, None, :, None, None] + shift[:, None, :, None, None]
+    else:
+        x_hat = (xv - mean[:, None, :, None, None]) * inv_std[:, None, :, None, None]
+        out = w[:, None, :, None, None] * x_hat + b[:, None, :, None, None]
+    gv = np.ascontiguousarray(g).reshape(k, bsz, c, h, wd)
+    w_grad, b_grad = np.zeros_like(w), np.zeros_like(b)
+    if param_grads:
+        for i in range(k):
+            w_grad[i] += (gv[i] * x_hat[i]).sum(axis=(0, 2, 3))
+            b_grad[i] += gv[i].sum(axis=(0, 2, 3))
+    g_xhat = gv * w[:, None, :, None, None]
+    inv = inv_std[:, None, :, None, None]
+    if not training:
+        gx = g_xhat * inv
+    else:
+        count = bsz * h * wd
+        sum_g = np.empty((k, 1, c, 1, 1), dtype=g_xhat.dtype)
+        sum_gx = np.empty((k, 1, c, 1, 1), dtype=g_xhat.dtype)
+        for i in range(k):
+            sum_g[i, 0, :, 0, 0] = g_xhat[i].sum(axis=(0, 2, 3))
+            sum_gx[i, 0, :, 0, 0] = (g_xhat[i] * x_hat[i]).sum(axis=(0, 2, 3))
+        gx = (inv / count) * (count * g_xhat - sum_g - x_hat * sum_gx)
+    return out.reshape(x.shape), gx.reshape(x.shape), w_grad, b_grad, r_mean, r_var
+
+
+def _assert_bytes(actual, expected, label):
+    """Same dtype, shape and bytes: stricter than array_equal (sees -0.0)."""
+    assert actual.dtype == expected.dtype, label
+    assert actual.shape == expected.shape, label
+    assert (
+        np.ascontiguousarray(actual).tobytes()
+        == np.ascontiguousarray(expected).tobytes()
+    ), label
+
+
+def _draw_hw(data, lo):
+    h = data.draw(st.integers(lo, lo + 4), label="H")
+    w = data.draw(st.integers(lo, lo + 4).filter(lambda v: v != h), label="W")
+    return h, w
+
+
+def _draw_layer(data, kind):
+    """A layer factory, its reference kernel, and per-sample in/out shapes."""
+    if kind == "linear":
+        in_f, out_f = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        bias = data.draw(st.booleans(), label="bias")
+        make = lambda rng: Linear(in_f, out_f, bias=bias, rng=rng)  # noqa: E731
+
+        def ref(x, g, slabs, k, training, pg):
+            return reference_linear(x, g, slabs["weight"], slabs.get("bias"), k, pg)
+
+        return make, ref, (in_f,), (out_f,)
+    if kind == "conv2d":
+        in_c, out_c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        ks = data.draw(st.integers(1, 3), label="kernel")
+        stride = data.draw(st.integers(1, 2), label="stride")
+        padding = data.draw(st.integers(0, 1), label="padding")
+        bias = data.draw(st.booleans(), label="bias")
+        h, w = _draw_hw(data, max(1, ks - 2 * padding))
+        make = lambda rng: Conv2d(  # noqa: E731
+            in_c, out_c, ks, stride=stride, padding=padding, bias=bias, rng=rng
+        )
+
+        def ref(x, g, slabs, k, training, pg):
+            return reference_conv2d(
+                x, g, slabs["weight"], slabs.get("bias"), k, stride, padding, pg
+            )
+
+        out_hw = [conv_output_size(v, ks, stride, padding) for v in (h, w)]
+        return make, ref, (in_c, h, w), (out_c, *out_hw)
+    c = data.draw(st.integers(1, 4), label="channels")
+    h, w = _draw_hw(data, 1)
+    adversarial = kind == "dual_batchnorm" and data.draw(st.booleans(), label="adv")
+    bank = "_adv" if adversarial else ""
+
+    def make(rng):
+        if kind == "batchnorm":
+            return BatchNorm2d(c)
+        layer = DualBatchNorm2d(c)
+        layer.set_mode(adversarial)
+        return layer
+
+    def ref(x, g, slabs, k, training, pg):
+        *grads, r_mean, r_var = reference_batchnorm(
+            x, g, slabs["weight"], slabs["bias"], slabs["running_mean" + bank],
+            slabs["running_var" + bank], k, training, pg,
+        )
+        return (*grads, {"running_mean" + bank: r_mean, "running_var" + bank: r_var})
+
+    return make, ref, (c, h, w), (c, h, w)
+
+
+def _random_state(layer, rng):
+    """Distinct per-client values for every parameter and buffer."""
+    state = layer.state_dict()
+    for name, v in state.items():
+        draw = rng.normal(size=v.shape)
+        state[name] = (np.abs(draw) + 0.5 if "var" in name else draw).astype(v.dtype)
+    return state
+
+
+def _check_against_reference(layer, ref, x, g, k, training, param_grads, states):
+    slabs = {n: np.stack([s[n] for s in states]) for n in states[0]}
+    out, gx, w_grad, b_grad, *stats = ref(x, g, slabs, k, training, param_grads)
+    layer.train() if training else layer.eval()
+    with (nullcontext() if param_grads else no_param_grads()):
+        _assert_bytes(layer.forward(x), out, "output")
+        _assert_bytes(layer.backward(g), gx, "input grad")
+    cohort = layer.weight.slab is not None
+
+    def got(p):
+        return p.slab_grad if cohort else p.grad[None]
+
+    _assert_bytes(got(layer.weight), w_grad, "weight grad")
+    if b_grad is not None:
+        _assert_bytes(got(layer.bias), b_grad, "bias grad")
+    for name, want in (stats[0] if stats else {}).items():
+        have = layer._slab_buffers[name] if cohort else layer._buffers[name][None]
+        _assert_bytes(have, want if training else slabs[name], name)
+
+
+class TestKernelsMatchLoopReference:
+    @pytest.mark.parametrize(
+        "kind", ["linear", "conv2d", "batchnorm", "dual_batchnorm"]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_layers_byte_equal_to_per_client_loops(self, kind, data):
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        k = data.draw(st.integers(1, 5), label="K")
+        b = data.draw(st.integers(1, 5), label="B")
+        mode = data.draw(st.sampled_from(["train", "eval", "no_param_grads"]))
+        training = mode == "train" or (
+            mode == "no_param_grads" and data.draw(st.booleans(), label="train")
+        )
+        param_grads = mode != "no_param_grads"
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        with dtype_scope(dtype):
+            make, ref, x_shape, y_shape = _draw_layer(data, kind)
+            states = [_random_state(make(rng), rng) for _ in range(k)]
+            cohort = make(rng)
+            install_cohort(cohort, states)
+            serial = make(rng)
+            serial.load_state_dict(states[0])
+        x = rng.normal(size=(k * b,) + x_shape).astype(dtype)
+        g = rng.normal(size=(k * b,) + y_shape).astype(dtype)
+        # K clients on the slabs, and the serial layer as the K = 1 view.
+        _check_against_reference(cohort, ref, x, g, k, training, param_grads, states)
+        _check_against_reference(
+            serial, ref, x[:b], g[:b], 1, training, param_grads, states[:1]
+        )
+
+
+class TestClientView:
+    def test_splits_leading_axis_without_copy(self):
+        x = np.arange(24.0).reshape(6, 4)
+        v = client_view(x, 3)
+        assert v.shape == (3, 2, 4) and np.shares_memory(v, x)
+
+    def test_rejects_rows_not_divisible_by_k(self):
+        with pytest.raises(ValueError, match="5 rows .* K = 2"):
+            client_view(np.zeros((5, 3)), 2)
+
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda: Linear(4, 3), (5, 4)),
+            (lambda: Conv2d(2, 3, 3, padding=1), (5, 2, 4, 4)),
+            (lambda: BatchNorm2d(2), (5, 2, 4, 4)),
+        ],
+    )
+    def test_layers_reject_ragged_cohort_batch(self, make, shape):
+        layer = make()
+        install_cohort(layer, [layer.state_dict()] * 2)
+        with pytest.raises(ValueError, match="5 rows .* K = 2"):
+            layer.forward(np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize(
+        "make, shape",
+        [
+            (lambda: Linear(4, 3), (4, 4)),
+            (lambda: Conv2d(2, 3, 3, padding=1), (4, 2, 4, 4)),
+            (lambda: BatchNorm2d(2).eval(), (4, 2, 4, 4)),
+        ],
+    )
+    def test_param_grads_after_lean_forward_raises(self, make, shape, k):
+        """Serial (k = 0) and cohort bodies refuse a full backward after an
+        input-grad-only forward (eval BN: train mode keeps x_hat)."""
+        layer = make()
+        if k:
+            install_cohort(layer, [layer.state_dict()] * k)
+        with no_param_grads():
+            out = layer.forward(np.ones(shape, dtype=np.float32))
+        with pytest.raises(RuntimeError, match="input-grad-only"):
+            layer.backward(np.ones_like(out), param_grads=True)
+
+
 class TestCohortCrossEntropy:
     def test_matches_serial_loss_and_grad(self):
         k, b, c = 3, 5, 7
@@ -171,9 +458,34 @@ class TestCohortCrossEntropy:
         np.testing.assert_array_equal(stacked, np.array(losses))
         np.testing.assert_array_equal(cohort.backward(), np.concatenate(grads))
 
+    # B = 130 crosses numpy's 128-element pairwise-summation block.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, b", [(1, 1), (2, 7), (5, 3), (8, 130)])
+    def test_per_row_mean_matches_serial_bytes(self, k, b, dtype):
+        rng = np.random.default_rng(k * 1000 + b)
+        logits = rng.normal(size=(k * b, 10)).astype(dtype)
+        labels = rng.integers(0, 10, size=k * b)
+        cohort = CohortCrossEntropyLoss(k)
+        got = cohort(logits, labels)
+        serial = [CrossEntropyLoss() for _ in range(k)]
+        rows = [slice(i * b, (i + 1) * b) for i in range(k)]
+        want = [ce(logits[r], labels[r]) for ce, r in zip(serial, rows)]
+        _assert_bytes(got, np.array(want), "per-client losses")
+        _assert_bytes(
+            cohort.backward(), np.concatenate([ce.backward() for ce in serial]),
+            "logit grads",
+        )
+
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             CohortCrossEntropyLoss(0)
+
+    def test_rejects_rows_not_divisible_by_k(self):
+        # 5 rows cannot split into 2 clients: no loss silently drops row 4
+        # while backward still returns gradient for it.
+        logits = np.zeros((5, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="5 rows .* K = 2"):
+            CohortCrossEntropyLoss(2)(logits, np.zeros(5, dtype=int))
 
 
 # ---------------------------------------------------------------------------
